@@ -447,18 +447,11 @@ func MergeDirsOpts(w io.Writer, dirs []string, opt MergeOptions) (MergeStats, er
 	return st, bw.Flush()
 }
 
-// scanDir walks one state directory's files in replay order: snapshot,
-// sealed journal segments, then the active journal. Only the active
-// journal may carry a torn tail; tearing anywhere else is corruption.
+// scanDir walks one state directory through the server's state
+// reader, so the merge accepts exactly the records a restart does.
 func scanDir(dir string, fn func(server.StateOp) error) error {
-	files, err := server.StateFiles(dir)
-	if err != nil {
+	if err := server.WalkState(dir, fn); err != nil {
 		return fmt.Errorf("cluster: merge %s: %w", dir, err)
-	}
-	for i, path := range files {
-		if err := server.ScanStateOps(path, i == len(files)-1, fn); err != nil {
-			return fmt.Errorf("cluster: merge %s: %w", path, err)
-		}
 	}
 	return nil
 }

@@ -324,8 +324,7 @@ func (h *ReplicaHost) apply(primary string, seq uint64, segment []byte) (dup boo
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return false, err
 		}
-		_, journal := server.StateFilePaths(dir)
-		f, err = os.OpenFile(journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err = os.OpenFile(server.JournalPath(dir), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return false, err
 		}

@@ -40,8 +40,8 @@ func FuzzRecv(f *testing.F) {
 			return b
 		}(),
 		append(append([]byte(nil), v3frame...), []byte(`{"type":"ack","seq":1,"sum":0}`+"\n")...), // mixed framings on one stream
-		[]byte{FrameMagic, 0xff, 0xff, 0xff, 0xff, 0x7f}, // huge declared length
-		[]byte{FrameMagic, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}, // overlong varint
+		[]byte{FrameMagic, 0xff, 0xff, 0xff, 0xff, 0x7f},                                          // huge declared length
+		[]byte{FrameMagic, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},      // overlong varint
 	)
 	for _, s := range seed {
 		f.Add(s)

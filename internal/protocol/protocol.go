@@ -206,7 +206,7 @@ type Conn struct {
 	c       io.Closer
 	d       deadliner
 	timeout time.Duration
-	version int   // send framing: V3, or V2 when unset
+	version int    // send framing: V3, or V2 when unset
 	rbuf    []byte // v3 frame assembly buffer, reused across receives
 	frame   Frame  // the connection-owned decoded frame RecvFrame returns
 }

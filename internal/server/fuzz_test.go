@@ -1,16 +1,22 @@
 package server
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
+
+	"uucs/internal/core"
 )
 
 // FuzzPersistReload throws arbitrary bytes at the journal loader — the
 // file a crashed server leaves behind is exactly "whatever made it to
 // disk", so reload must never panic, must reject what it cannot
 // explain, and anything it does accept must survive a
-// save-and-reload round trip unchanged.
+// save-and-reload round trip unchanged and be accepted by the cluster
+// merge's walker too.
 func FuzzPersistReload(f *testing.F) {
 	seeds := []string{
 		"",
@@ -38,6 +44,9 @@ func FuzzPersistReload(f *testing.F) {
 		if err := s.LoadState(dir); err != nil {
 			return // rejected cleanly
 		}
+		if err := walkState(dir); err != nil {
+			t.Fatalf("LoadState accepted what WalkState rejects: %v", err)
+		}
 		// Accepted state must round-trip: compact it and reload.
 		dir2 := t.TempDir()
 		if err := s.SaveState(dir2); err != nil {
@@ -47,13 +56,32 @@ func FuzzPersistReload(f *testing.F) {
 		if err := s2.LoadState(dir2); err != nil {
 			t.Fatalf("saved state failed to reload: %v", err)
 		}
-		if s2.TestcaseCount() != s.TestcaseCount() ||
-			s2.ClientCount() != s.ClientCount() ||
-			len(s2.Results()) != len(s.Results()) {
-			t.Fatalf("round trip changed state: tc %d->%d, clients %d->%d, results %d->%d",
-				s.TestcaseCount(), s2.TestcaseCount(),
-				s.ClientCount(), s2.ClientCount(),
-				len(s.Results()), len(s2.Results()))
+		if got, want := stateIdentity(t, s2), stateIdentity(t, s); got != want {
+			t.Fatalf("round trip changed state:\n got %q\nwant %q", got, want)
 		}
 	})
+}
+
+// stateIdentity flattens a server's state into comparable bytes by
+// identity: the encoded run list in order, every client id with its
+// lastSeq, and the testcase ids in order.
+func stateIdentity(t *testing.T, s *Server) string {
+	t.Helper()
+	var b strings.Builder
+	if err := core.EncodeRuns(&b, s.Results(), true); err != nil {
+		t.Fatal(err)
+	}
+	var clients []string
+	for i := range s.shards {
+		sh := &s.shards[i]
+		for id := range sh.clients {
+			clients = append(clients, fmt.Sprintf("client %q %d\n", id, sh.lastSeq[id]))
+		}
+	}
+	sort.Strings(clients)
+	b.WriteString(strings.Join(clients, ""))
+	for _, tc := range s.testcases {
+		fmt.Fprintf(&b, "testcase %q\n", tc.ID)
+	}
+	return b.String()
 }

@@ -421,7 +421,7 @@ func (w *journalWriter) rotateLocked() error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("server: journal seal: %w", err)
 	}
-	active := journalPathIn(w.dir)
+	active := JournalPath(w.dir)
 	segPath := segmentPathIn(w.dir, w.nextSeq)
 	if err := os.Rename(active, segPath); err != nil {
 		return fmt.Errorf("server: journal seal: %w", err)
@@ -586,8 +586,8 @@ func (w *journalWriter) segCount() int {
 	return len(w.segs)
 }
 
-// journalPathIn returns dir's journal file path.
-func journalPathIn(dir string) string {
+// JournalPath returns the path of dir's active journal.
+func JournalPath(dir string) string {
 	return filepath.Join(dir, journalFile)
 }
 

@@ -2,16 +2,12 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"unsafe"
 
 	"uucs/internal/core"
 	"uucs/internal/protocol"
@@ -38,26 +34,8 @@ import (
 // (registrations dedup by nonce, result batches dedup by per-client
 // sequence number, testcases dedup by ID), so both recover to the same
 // state. A partial final journal record (crash mid-append) is detected
-// and dropped.
-//
-// Record formats: the snapshot holds one JSON op per line. The journal
-// mixes two record formats, distinguished per record by the first byte:
-// '{' starts a JSON op line (every v2-era record, plus the cold ops —
-// registrations, testcases — a v3 server still writes as JSON), and
-// protocol.FrameMagic starts a verbatim v3 wire frame. Hot v3 result
-// uploads are journaled as the exact frame bytes the client sent, so
-// the append is a memcpy, the record carries its own CRC, and replay
-// re-validates it with the wire decoder instead of a JSON parse. A
-// fresh journal opens with a self-identifying jmeta header frame; a
-// v2-era journal has no header and replays through the same scanner
-// unchanged, which is the whole migration story — no rewrite, no
-// conversion. Torn-tail semantics per format: a JSON record is torn if
-// its final newline is missing; a binary record is torn if the file
-// ends before the frame's declared length (ErrShortFrame). A complete
-// binary record that fails its CRC — e.g. a corrupted header mid-file —
-// is never treated as tearing: it poisons the load, because a CRC-valid
-// prefix cannot be reconstructed from a corrupt length field without
-// risking silently mis-parsing everything after it.
+// and dropped. The record formats and the torn-tail rules live with the
+// one reader of these files, in records.go.
 
 // State file names.
 const (
@@ -368,7 +346,7 @@ func (s *Server) SaveState(dir string) error {
 		if err := c.jw.barrier(); err != nil {
 			return err
 		}
-		return c.jw.compactTo(c.journalOff, journalPathIn(dir))
+		return c.jw.compactTo(c.journalOff, JournalPath(dir))
 	}
 	// Not journaling into dir (detached server, or a snapshot exported
 	// to a foreign directory): leave any live journal alone, but empty
@@ -382,8 +360,8 @@ func (s *Server) SaveState(dir string) error {
 			}
 		}
 	}
-	if c.journaling || fileExists(journalPathIn(dir)) {
-		return os.WriteFile(journalPathIn(dir), nil, 0o644)
+	if c.journaling || fileExists(JournalPath(dir)) {
+		return os.WriteFile(JournalPath(dir), nil, 0o644)
 	}
 	return nil
 }
@@ -392,7 +370,7 @@ func (s *Server) SaveState(dir string) error {
 // then the journal — sealed segments in seal order, then the active
 // file — replayed on top. Record decode runs on ReplayWorkers
 // goroutines with per-shard apply queues (replay.go); the restored
-// stores are bit-identical to a serial replay at any worker count.
+// stores are bit-identical to ReplayWorkers=1 at any worker count.
 // Missing files are treated as empty stores, so a fresh directory
 // loads cleanly. A truncated final record in the active journal — the
 // signature of a crash mid-append — is dropped; corruption anywhere
@@ -404,214 +382,6 @@ func (s *Server) LoadState(dir string) error {
 	}
 	_, err := s.loadStateDir(dir)
 	return err
-}
-
-// scanOpsFile parses one state file record by record, calling fn per
-// op. A missing file is an empty file. Each record's format is
-// identified by its first byte: a verbatim v3 wire frame
-// (protocol.FrameMagic) or a newline-terminated JSON op line. Binary
-// record payloads are handed to fn as borrowed views of the file
-// buffer — the buffer is immutable and garbage-collected normally, so
-// the views stay valid even if retained; replay never copies or
-// re-encodes a journaled frame.
-//
-// tolerateTail drops a torn final record: a JSON line with no
-// terminating newline (plus any parse/fn error on it), or a binary
-// frame the file ends inside (ErrShortFrame). A complete binary frame
-// that fails its CRC or its fn is corruption at any position and
-// poisons the scan — it cannot be tearing, because tearing cannot
-// manufacture a valid CRC trailer.
-func scanOpsFile(path string, tolerateTail bool, fn func(journalOp) error) error {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	base := filepath.Base(path)
-	rec := 0
-	pos := 0
-	var f protocol.Frame
-	for pos < len(data) {
-		switch data[pos] {
-		case '\n', '\r', ' ', '\t':
-			pos++ // blank separators between JSON lines
-			continue
-		}
-		rec++
-		if data[pos] == protocol.FrameMagic {
-			n, err := protocol.DecodeFrame(data[pos:], &f)
-			if err != nil {
-				if tolerateTail && errors.Is(err, protocol.ErrShortFrame) {
-					return nil // torn tail: crash mid-append
-				}
-				return fmt.Errorf("server: %s record %d (offset %d): %w", base, rec, pos, err)
-			}
-			op, err := frameOp(&f)
-			if err == nil {
-				err = fn(op)
-			}
-			if err != nil {
-				return fmt.Errorf("server: %s record %d (offset %d): %w", base, rec, pos, err)
-			}
-			pos += n
-			continue
-		}
-		nl := bytes.IndexByte(data[pos:], '\n')
-		torn := nl < 0
-		var line []byte
-		if torn {
-			line = data[pos:]
-			pos = len(data)
-		} else {
-			line = data[pos : pos+nl]
-			pos += nl + 1
-		}
-		var op journalOp
-		if err := json.Unmarshal(line, &op); err != nil {
-			if tolerateTail && torn {
-				return nil
-			}
-			return fmt.Errorf("server: %s record %d: %w", base, rec, err)
-		}
-		if err := fn(op); err != nil {
-			if tolerateTail && torn {
-				return nil
-			}
-			return fmt.Errorf("server: %s record %d: %w", base, rec, err)
-		}
-	}
-	return nil
-}
-
-// frameOp converts a journaled wire frame into its journalOp view. The
-// payload borrows the frame's bytes without copying.
-func frameOp(f *protocol.Frame) (journalOp, error) {
-	switch f.Type {
-	case protocol.TypeJournalMeta:
-		return journalOp{Op: opJournalMeta, Ver: f.Ver}, nil
-	case protocol.TypeResults:
-		return journalOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload)}, nil
-	default:
-		return journalOp{}, fmt.Errorf("unexpected %q frame in journal", f.Type)
-	}
-}
-
-// borrowString returns a string view of b without copying. Safe here
-// because every caller passes views of an immutable, GC-managed file
-// buffer.
-func borrowString(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
-}
-
-// Exported op-kind names for StateOp.Kind (the on-disk op tags).
-const (
-	OpKindMeta        = opMeta
-	OpKindTestcases   = opTestcases
-	OpKindClient      = opClient
-	OpKindResults     = opResults
-	OpKindJournalMeta = opJournalMeta
-)
-
-// StateOp is the exported view of one journal/snapshot op, for
-// consumers that read state files without being a server — the cluster
-// merge walks per-node journals through it.
-type StateOp struct {
-	// Kind is the op tag (OpKind*).
-	Kind string
-	// Ver is the state format version (OpKindMeta).
-	Ver int
-	// ID is the client id (OpKindClient: the registered id;
-	// OpKindResults: the uploading client, empty for a compacted
-	// snapshot aggregate).
-	ID string
-	// Nonce is the registration nonce (OpKindClient).
-	Nonce string
-	// LastSeq is the client's highest batch folded into a compacted
-	// snapshot (OpKindClient).
-	LastSeq uint64
-	// Seq is the upload batch sequence number (OpKindResults; 0 for
-	// unsequenced or compacted payloads).
-	Seq uint64
-	// Payload holds text-encoded testcases or run records.
-	Payload string
-}
-
-// ScanStateOps parses one state file (a journal or a snapshot), calling
-// fn for every op in file order. tolerateTail drops a torn final line —
-// pass true for journals (a crash mid-append tears them), false for
-// snapshots (written atomically). A missing file scans as empty. It
-// validates op meta versions like a state load would.
-func ScanStateOps(path string, tolerateTail bool, fn func(StateOp) error) error {
-	return scanOpsFile(path, tolerateTail, func(op journalOp) error {
-		if op.Op == opMeta && op.Ver != stateVersion {
-			return fmt.Errorf("unsupported state version %d", op.Ver)
-		}
-		if op.Op == opJournalMeta && op.Ver != journalFormatVersion {
-			return fmt.Errorf("unsupported journal format version %d", op.Ver)
-		}
-		return fn(StateOp{
-			Kind: op.Op, Ver: op.Ver, ID: op.ID, Nonce: op.Nonce,
-			LastSeq: op.LastSeq, Seq: op.Seq, Payload: op.Payload,
-		})
-	})
-}
-
-// StateFilePaths returns the snapshot and active journal paths of a
-// state directory in replay order (snapshot first). Either file may be
-// absent; ScanStateOps treats a missing file as empty. Directories
-// written with journal segmentation enabled hold sealed segment files
-// between the two — use StateFiles for the complete replay-ordered
-// list.
-func StateFilePaths(dir string) (snapshot, journal string) {
-	return filepath.Join(dir, snapshotFile), journalPathIn(dir)
-}
-
-// applyOp replays one journal op into the in-memory stores,
-// deduplicating so replay is idempotent.
-func (s *Server) applyOp(op journalOp) error {
-	switch op.Op {
-	case opMeta:
-		if op.Ver != stateVersion {
-			return fmt.Errorf("unsupported state version %d", op.Ver)
-		}
-		return nil
-	case opJournalMeta:
-		// The journal format header. A replica journal can carry several
-		// (one per bootstrap segment shipped after a primary restart);
-		// each just re-declares the format.
-		if op.Ver != journalFormatVersion {
-			return fmt.Errorf("unsupported journal format version %d", op.Ver)
-		}
-		return nil
-	case opTestcases:
-		tcs, err := testcase.DecodeAll(strings.NewReader(op.Payload))
-		if err != nil {
-			return err
-		}
-		return s.addTestcases(tcs, false)
-	case opClient:
-		return s.applyClientShard(&op)
-	case opResults:
-		runs, err := core.DecodeRuns(strings.NewReader(op.Payload))
-		if err != nil {
-			return err
-		}
-		keep, err := s.applyResultsShard(&op)
-		if err != nil || !keep {
-			return err
-		}
-		s.resMu.Lock()
-		s.results = append(s.results, runs...)
-		s.resMu.Unlock()
-		return nil
-	default:
-		return fmt.Errorf("unknown op %q", op.Op)
-	}
 }
 
 func fileExists(path string) bool {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -513,6 +514,13 @@ func TestJournalMigrationCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	clientLine := append(clientJSON, '\n')
+	jsonLine := func(op journalOp) []byte {
+		b, err := json.Marshal(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
 	_, resWire := resultsFrame(t, id, 1, encodeRuns(t, []*core.Run{testRun()}))
 
 	join := func(parts ...[]byte) []byte {
@@ -575,6 +583,21 @@ func TestJournalMigrationCorruption(t *testing.T) {
 			journal: join(header, flipLast(resWire), clientLine),
 			wantErr: true,
 		},
+		{
+			name:    "unknown op kind",
+			journal: join(header, []byte(`{"op":"bogus"}`+"\n"), clientLine),
+			wantErr: true,
+		},
+		{
+			name:    "client record without id",
+			journal: join(header, jsonLine(journalOp{Op: opClient, Nonce: "n1", Snapshot: &snap})),
+			wantErr: true,
+		},
+		{
+			name:    "client record without snapshot",
+			journal: join(header, jsonLine(journalOp{Op: opClient, ID: id, Nonce: "n1"})),
+			wantErr: true,
+		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -584,6 +607,11 @@ func TestJournalMigrationCorruption(t *testing.T) {
 			}
 			s := New(1)
 			err := s.LoadState(dir)
+			// The merge's walker must poison at the same record, or
+			// accept the same bytes.
+			if werr := walkState(dir); fmt.Sprint(werr) != fmt.Sprint(err) {
+				t.Errorf("WalkState err = %v, LoadState err = %v", werr, err)
+			}
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("corrupt journal accepted")
@@ -598,6 +626,12 @@ func TestJournalMigrationCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// walkState walks dir with the reader the cluster merge uses, keeping
+// nothing, and returns its verdict.
+func walkState(dir string) error {
+	return WalkState(dir, func(StateOp) error { return nil })
 }
 
 // TestV3FrameJournalReplaysAcrossRestart covers the new-format

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -20,51 +18,45 @@ import (
 	"uucs/internal/testcase"
 )
 
-// Parallel journal replay. The serial loader (scanOpsFile + applyOp)
-// walks one file record by record, paying the expensive part — JSON
-// unmarshal, run-payload decode, frame CRC — inline on one core. At a
-// 64MB multi-segment journal that is the whole cost of a cold restart
-// and of failover promotion, so this file splits replay into three
-// phases that put the expensive part on every core while keeping the
-// result provably bit-identical to the serial loader:
+// Parallel journal replay. Replay's expensive part — JSON unmarshal,
+// run-payload decode, frame CRC — is, at a 64MB multi-segment journal,
+// the whole cost of a cold restart and of failover promotion, so replay
+// runs in three phases that put it on every core while keeping the
+// restored state bit-identical to ReplayWorkers=1:
 //
-//  1. Boundary scan (sequential, cheap): each state file is split into
-//     records without decoding anything — protocol.FrameLen reads just
-//     the magic byte and length prefix of a binary frame, JSON lines
-//     end at their newline. This phase fixes the record order: the
-//     global record index is (file order, offset order), exactly the
-//     order the serial loader applies.
+//  1. Boundary scan (sequential, cheap): scanState (records.go) splits
+//     each state file into records without decoding anything. This
+//     phase fixes the record order: the global record index is (file
+//     order, offset order).
 //  2. Decode (parallel): workers grab record indexes from an atomic
-//     cursor and fully decode each record in isolation — frame CRC +
-//     field parse, JSON unmarshal, run/testcase payload decode. No
-//     record's decode depends on any other record, so this phase is
-//     embarrassingly parallel and holds the dominant cost.
+//     cursor and fully decode each record in isolation — decodeOp, then
+//     the run/testcase payload. No record's decode depends on any other
+//     record, so this phase is embarrassingly parallel and holds the
+//     dominant cost.
 //  3. Apply (per-shard queues): the main goroutine dispatches records
 //     in global order. Client and results ops go to one of 16 apply
 //     queues keyed by shardFor(client id) — the same hash that shards
 //     the live server — so all ops of one client apply in record
-//     order, which is the only order applyOp's dedup logic (lastSeq
+//     order, which is the only order the dedup logic (lastSeq
 //     monotonicity, registration-before-upload) ever reads. Ops with
-//     cross-shard effects (meta, jmeta, testcases) apply inline on the
-//     dispatch goroutine, still in record order. Accepted run batches
-//     are not appended to the result store by the workers — they are
-//     collected per record index and concatenated in record order
-//     after the queues drain, so s.results is byte-for-byte the serial
-//     loader's.
+//     cross-shard effects (testcases) apply inline on the dispatch
+//     goroutine, still in record order. Accepted run batches are not
+//     appended to the result store by the workers — they are collected
+//     per record index and concatenated in record order after the
+//     queues drain, so s.results does not depend on the worker count.
 //
-// Why per-client order is sufficient: applyOp's replay decisions read
-// only per-client state (shard.clients[id], shard.lastSeq[id]) and
+// Why per-client order is sufficient: replay decisions read only
+// per-client state (shard.clients[id], shard.lastSeq[id]) and
 // idempotent global maps (nonce → id, testcase id dedup). Two records
 // touching different clients commute; two records touching the same
 // client share a queue. Errors are collected with their record index
-// and the minimum-index error is returned, which is exactly the first
-// error the serial loader would have hit.
+// and the minimum-index error is returned — the first error in record
+// order, whatever the worker count.
 //
-// Torn tails keep their serial semantics: only the final record of the
-// active journal may be torn. A torn binary frame is dropped at the
-// boundary scan; a torn JSON line is decoded and applied, with any
-// error silently dropping it — if it applies cleanly it is state,
-// matching the serial loader bit for bit.
+// Torn tails follow the reader's one policy (records.go): only the
+// final record of the active journal may be torn. A torn binary frame
+// never reaches replay; a torn JSON line is decoded and applied, with
+// any error silently dropping it — if it applies cleanly it is state.
 
 // replayStats describes one LoadState replay.
 type replayStats struct {
@@ -74,33 +66,12 @@ type replayStats struct {
 	bytes     atomic.Uint64 // bytes scanned by the most recent replay
 }
 
-// replayRec is one boundary-scanned record awaiting decode.
-type replayRec struct {
-	file  string // file base name, for error formatting
-	rec   int    // 1-based record ordinal within its file
-	pos   int    // byte offset of the record within its file
-	data  []byte // raw bytes: a whole frame, or a JSON line without its newline
-	frame bool   // binary frame vs JSON line
-	torn  bool   // tolerated torn tail: errors drop the record instead of poisoning
-	err   error  // boundary-scan error, reported when dispatch reaches it
-}
-
 // replayDec is a record's decoded form, produced by a phase-2 worker.
 type replayDec struct {
 	op   journalOp
 	runs []*core.Run          // pre-decoded opResults payload
 	tcs  []*testcase.Testcase // pre-decoded opTestcases payload
 	err  error
-}
-
-// errAt formats a record-scoped error exactly as the serial scanner
-// does: binary records carry their byte offset (their CRC makes the
-// position meaningful), JSON records do not.
-func errAt(r *replayRec, err error) error {
-	if r.frame {
-		return fmt.Errorf("server: %s record %d (offset %d): %w", r.file, r.rec, r.pos, err)
-	}
-	return fmt.Errorf("server: %s record %d: %w", r.file, r.rec, err)
 }
 
 // journalFilesIn returns dir's journal files in replay order: sealed
@@ -112,7 +83,7 @@ func errAt(r *replayRec, err error) error {
 func journalFilesIn(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
-		return []string{journalPathIn(dir)}, nil
+		return []string{JournalPath(dir)}, nil
 	}
 	if err != nil {
 		return nil, err
@@ -138,7 +109,7 @@ func journalFilesIn(dir string) ([]string, error) {
 		}
 		paths = append(paths, filepath.Join(dir, sg.name))
 	}
-	return append(paths, journalPathIn(dir)), nil
+	return append(paths, JournalPath(dir)), nil
 }
 
 // StateFiles returns every state file of dir in replay order: the
@@ -178,105 +149,24 @@ type tailState struct {
 	terminate bool
 }
 
-// splitRecords boundary-scans one state file into records, appending to
-// recs. It returns the extended slice and the file's valid prefix
-// length (bytes through the last whole record, separators included).
-// tolerateTail marks the file as the active journal: a torn final
-// binary frame is dropped here (the serial scanner never decodes it),
-// and a torn final JSON line is kept but flagged so decode/apply
-// errors drop it silently. A scan error that tearing cannot explain is
-// attached to a sentinel record so dispatch reports it at the exact
-// record index the serial scanner would have.
-func splitRecords(recs []replayRec, data []byte, base string, tolerateTail bool) ([]replayRec, int64) {
-	rec := 0
-	pos := 0
-	valid := 0
-	for pos < len(data) {
-		switch data[pos] {
-		case '\n', '\r', ' ', '\t':
-			pos++ // blank separators between JSON lines
-			valid = pos
-			continue
-		}
-		rec++
-		if data[pos] == protocol.FrameMagic {
-			n, err := protocol.FrameLen(data[pos:])
-			if err != nil {
-				if tolerateTail && errors.Is(err, protocol.ErrShortFrame) {
-					return recs, int64(valid) // torn tail: crash mid-append
-				}
-				r := replayRec{file: base, rec: rec, pos: pos, frame: true}
-				r.err = err
-				return append(recs, r), int64(valid)
-			}
-			recs = append(recs, replayRec{file: base, rec: rec, pos: pos, data: data[pos : pos+n], frame: true})
-			pos += n
-			valid = pos
-			continue
-		}
-		nl := bytes.IndexByte(data[pos:], '\n')
-		if nl < 0 {
-			recs = append(recs, replayRec{file: base, rec: rec, pos: pos, data: data[pos:], torn: tolerateTail})
-			return recs, int64(valid)
-		}
-		recs = append(recs, replayRec{file: base, rec: rec, pos: pos, data: data[pos : pos+nl]})
-		pos += nl + 1
-		valid = pos
-	}
-	return recs, int64(valid)
-}
-
-// decodeRec fully decodes one record: frame CRC + fields or JSON
-// unmarshal, then the payload (runs or testcases). f is a per-worker
-// scratch frame; the decoded op borrows views of the file buffer, not
-// of f.
-func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
-	if r.err != nil {
-		d.err = r.err
-		return
-	}
-	if r.frame {
-		if _, err := protocol.DecodeFrame(r.data, f); err != nil {
-			d.err = err
-			return
-		}
-		op, err := frameOp(f)
-		if err != nil {
-			d.err = err
-			return
-		}
-		d.op = op
-	} else if err := json.Unmarshal(r.data, &d.op); err != nil {
-		d.err = err
+// decodeRec fully decodes one record: decodeOp, then the payload (runs
+// or testcases). f is a per-worker scratch frame.
+func decodeRec(r *stateRec, d *replayDec, f *protocol.Frame) {
+	d.op, d.err = decodeOp(r, f)
+	if d.err != nil {
 		return
 	}
 	switch d.op.Op {
 	case opResults:
-		runs, err := core.DecodeRuns(strings.NewReader(d.op.Payload))
-		if err != nil {
-			d.err = err
-			return
-		}
-		d.runs = runs
+		d.runs, d.err = core.DecodeRuns(strings.NewReader(d.op.Payload))
 	case opTestcases:
-		tcs, err := testcase.DecodeAll(strings.NewReader(d.op.Payload))
-		if err != nil {
-			d.err = err
-			return
-		}
-		d.tcs = tcs
+		d.tcs, d.err = testcase.DecodeAll(strings.NewReader(d.op.Payload))
 	}
 }
 
-// applyClientShard replays one opClient into the shard stores —
-// applyOp's client case, shared verbatim with the parallel path.
-func (s *Server) applyClientShard(op *journalOp) error {
-	if op.ID == "" {
-		return fmt.Errorf("client op without id")
-	}
-	if op.Snapshot == nil {
-		return fmt.Errorf("client op without snapshot")
-	}
+// applyClientShard replays one opClient into the shard stores. The
+// decoder has already checked the op carries an id and a snapshot.
+func (s *Server) applyClientShard(op *journalOp) {
 	s.regMu.Lock()
 	sh := s.shardFor(op.ID)
 	sh.lock()
@@ -289,7 +179,6 @@ func (s *Server) applyClientShard(op *journalOp) error {
 		s.nonces[op.Nonce] = op.ID
 	}
 	s.regMu.Unlock()
-	return nil
 }
 
 // applyResultsShard replays the shard-local half of one opResults:
@@ -315,8 +204,7 @@ func (s *Server) applyResultsShard(op *journalOp) (keep bool, err error) {
 
 // replayError collects record-indexed errors from the dispatch
 // goroutine and the shard workers, keeping the minimum-index one — the
-// error the serial loader, which stops at the first failure, would
-// have returned.
+// first failure in record order, whatever the worker count.
 type replayError struct {
 	mu  sync.Mutex
 	idx int
@@ -343,44 +231,20 @@ func (re *replayError) first() error {
 // structure and the bit-identity argument.
 func (s *Server) loadStateDir(dir string) (tailState, error) {
 	start := time.Now()
-	files, err := StateFiles(dir)
+
+	// Phase 1: boundary-scan every file. A scan error tearing cannot
+	// explain ends the scan at its record; dispatch reports it there.
+	var recs []stateRec
+	scan, err := scanState(dir, func(r *stateRec) error {
+		recs = append(recs, *r)
+		return nil
+	})
 	if err != nil {
 		return tailState{}, err
 	}
-
-	// Phase 1: read + boundary-scan every file. Only the last file (the
-	// active journal) may be torn.
-	var (
-		recs       []replayRec
-		tail       tailState
-		totalBytes int64
-		nfiles     int
-	)
-	for i, path := range files {
-		data, err := os.ReadFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return tailState{}, err
-		}
-		nfiles++
-		totalBytes += int64(len(data))
-		active := i == len(files)-1
-		before := len(recs)
-		var valid int64
-		recs, valid = splitRecords(recs, data, filepath.Base(path), active)
-		if active {
-			tail.size = valid
-			// A kept torn JSON line may extend the valid prefix to the
-			// whole file — decided after apply, below.
-		}
-		if len(recs) > before && recs[len(recs)-1].err != nil {
-			// A scan error tearing cannot explain: stop at it, exactly
-			// where the serial scanner would. Later files never load.
-			break
-		}
-	}
+	// A kept torn JSON line may extend the valid prefix to the whole
+	// file — decided after apply, below.
+	tail := tailState{size: scan.valid}
 
 	// Phase 2: decode every record in parallel.
 	workers := s.ReplayWorkers
@@ -433,12 +297,7 @@ func (s *Server) loadStateDir(dir string) (tailState, error) {
 				r, d := &recs[idx], &decs[idx]
 				switch d.op.Op {
 				case opClient:
-					if err := s.applyClientShard(&d.op); err != nil {
-						if !r.torn {
-							re.record(idx, errAt(r, err))
-						}
-						continue
-					}
+					s.applyClientShard(&d.op)
 				case opResults:
 					keep, err := s.applyResultsShard(&d.op)
 					if err != nil {
@@ -456,55 +315,28 @@ func (s *Server) loadStateDir(dir string) (tailState, error) {
 		}(chans[i])
 	}
 
-dispatch:
 	for idx := range recs {
 		r, d := &recs[idx], &decs[idx]
+		if d.err == nil {
+			switch d.op.Op {
+			case opClient, opResults:
+				chans[shardIndex(d.op.ID)] <- idx
+				continue
+			case opTestcases:
+				// Inline, in record order: the testcase store is global
+				// and its append order is part of the bit-identity
+				// contract.
+				d.err = s.addTestcases(d.tcs, false)
+			}
+		}
 		if d.err != nil {
 			if r.torn {
-				continue // torn tail that failed to decode: dropped
+				continue // torn tail that failed to decode or apply: dropped
 			}
 			re.record(idx, errAt(r, d.err))
 			break
 		}
-		switch d.op.Op {
-		case opMeta:
-			if d.op.Ver != stateVersion {
-				if r.torn {
-					continue
-				}
-				re.record(idx, errAt(r, fmt.Errorf("unsupported state version %d", d.op.Ver)))
-				break dispatch
-			}
-			applied[idx] = true
-		case opJournalMeta:
-			if d.op.Ver != journalFormatVersion {
-				if r.torn {
-					continue
-				}
-				re.record(idx, errAt(r, fmt.Errorf("unsupported journal format version %d", d.op.Ver)))
-				break dispatch
-			}
-			applied[idx] = true
-		case opTestcases:
-			// Inline, in record order: the testcase store is global and
-			// its append order is part of the bit-identity contract.
-			if err := s.addTestcases(d.tcs, false); err != nil {
-				if r.torn {
-					continue
-				}
-				re.record(idx, errAt(r, err))
-				break dispatch
-			}
-			applied[idx] = true
-		case opClient, opResults:
-			chans[shardIndex(d.op.ID)] <- idx
-		default:
-			if r.torn {
-				continue
-			}
-			re.record(idx, errAt(r, fmt.Errorf("unknown op %q", d.op.Op)))
-			break dispatch
-		}
+		applied[idx] = true // meta and jmeta (versions checked by decodeOp), testcases
 	}
 	for i := range chans {
 		close(chans[i])
@@ -533,7 +365,7 @@ dispatch:
 	// everywhere and its bytes must go too.
 	if n := len(recs); n > 0 && recs[n-1].torn {
 		last := &recs[n-1]
-		if decs[n-1].err == nil && applied[n-1] {
+		if applied[n-1] {
 			tail.size = int64(last.pos + len(last.data))
 			tail.terminate = true
 		} else {
@@ -543,8 +375,8 @@ dispatch:
 
 	s.replayStats.lastNanos.Store(time.Since(start).Nanoseconds())
 	s.replayStats.records.Store(appliedRecs)
-	s.replayStats.files.Store(uint64(nfiles))
-	s.replayStats.bytes.Store(uint64(totalBytes))
+	s.replayStats.files.Store(uint64(scan.files))
+	s.replayStats.bytes.Store(uint64(scan.bytes))
 	return tail, nil
 }
 

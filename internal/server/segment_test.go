@@ -230,6 +230,9 @@ func TestMissingMiddleSegmentPoisons(t *testing.T) {
 	if !strings.Contains(err.Error(), "sequence gap") {
 		t.Errorf("err = %v, want a segment sequence gap", err)
 	}
+	if werr := walkState(dir); werr == nil || werr.Error() != err.Error() {
+		t.Errorf("WalkState err = %v, want LoadState's %v", werr, err)
+	}
 }
 
 // TestSealedSegmentTornTailPoisons pins the segment-boundary torn-tail
@@ -263,6 +266,9 @@ func TestSealedSegmentTornTailPoisons(t *testing.T) {
 	if err := New(1).LoadState(activeDir); err != nil {
 		t.Fatalf("torn active journal tail rejected: %v", err)
 	}
+	if err := walkState(activeDir); err != nil {
+		t.Fatalf("torn active journal tail rejected by WalkState: %v", err)
+	}
 
 	// The tear inside a sealed segment must poison.
 	last := segs[len(segs)-1]
@@ -273,8 +279,12 @@ func TestSealedSegmentTornTailPoisons(t *testing.T) {
 	if err := os.Truncate(last, fi.Size()-5); err != nil {
 		t.Fatal(err)
 	}
-	if err := New(1).LoadState(dir); err == nil {
+	err = New(1).LoadState(dir)
+	if err == nil {
 		t.Fatal("torn tail inside a sealed segment accepted")
+	}
+	if werr := walkState(dir); werr == nil || werr.Error() != err.Error() {
+		t.Errorf("WalkState err = %v, want LoadState's %v", werr, err)
 	}
 }
 
